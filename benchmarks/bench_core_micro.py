@@ -71,3 +71,29 @@ def test_micro_flush(benchmark):
 
     results = benchmark.pedantic(table.flush, rounds=1, iterations=1)
     assert sum(r.slabs_released for r in results) >= 0
+
+
+RELEASE_CFG = SlabAllocConfig(num_super_blocks=4, num_memory_blocks=64, units_per_block=256)
+
+
+def test_micro_slaballoc_release(benchmark):
+    """Resize a chained table after ~5k warps have been resident in the allocator.
+
+    The resize releases ~2k old chained slabs in one ``deallocate_many``; each
+    release must touch only the warps resident in the freed slab's block, so
+    a scan over every resident warp shows up here as a multi-fold slowdown.
+    """
+
+    def churned_table():
+        table = SlabHash(256, alloc_config=RELEASE_CFG, seed=6)
+        keys = unique_random_keys(2**15, seed=6)
+        table.bulk_build(keys, values_for_keys(keys))
+        for buckets in (384, 256, 384, 256):
+            table.resize(buckets)  # each rebuild makes fresh warps resident
+        return (table,), {}
+
+    def release(table):
+        return table.resize(384)
+
+    result = benchmark.pedantic(release, setup=churned_table, rounds=3, iterations=1)
+    assert result.released_slabs > 1000

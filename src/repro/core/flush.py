@@ -88,8 +88,7 @@ def flush_bucket(lists: SlabListCollection, warp: Warp, bucket: int) -> FlushRes
         mem.write_slab(store, row, words)
 
     # Pass 3: release the slabs that are no longer needed.
-    for address in release:
-        lists.alloc.deallocate(warp, address)
+    lists.alloc.deallocate_many(warp, release)
 
     return FlushResult(
         bucket=bucket,

@@ -343,9 +343,7 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
             table.bulk_insert(keys, values)
     except Exception:
         # Strong guarantee: tear the partial new array down, restore the old.
-        warp = table._next_warp()
-        for address in _chained_addresses(table.lists):
-            table.alloc.deallocate(warp, int(address))
+        table.alloc.deallocate_many(table._next_warp(), _chained_addresses(table.lists))
         table.lists = old_lists
         table.hash_fn = old_hash
         raise
@@ -353,9 +351,7 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
         table._in_resize = was_in_resize
 
     if old_chained.size:
-        warp = table._next_warp()
-        for address in old_chained:
-            table.alloc.deallocate(warp, int(address))
+        table.alloc.deallocate_many(table._next_warp(), old_chained)
 
     counters = device.counters.diff(before)
     result = ResizeResult(
@@ -565,9 +561,7 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     for bucket in range(lo, hi):
         band_chained.extend(old_lists.chain_addresses(bucket))
     if band_chained:
-        warp = table._next_warp()
-        for address in band_chained:
-            table.alloc.deallocate(warp, int(address))
+        table.alloc.deallocate_many(table._next_warp(), band_chained)
     old_lists.base_slabs[lo:hi] = C.EMPTY_KEY
 
     state.watermark = hi

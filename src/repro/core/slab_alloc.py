@@ -30,18 +30,27 @@ Deallocation atomically clears the unit's bit (and, in this simulation,
 re-initializes the unit's words to ``EMPTY_KEY`` so a recycled slab reads as
 empty, which the CUDA implementation achieves by memsetting pools).
 
+The paper's pool is preallocated, so on a GPU it costs nothing where an
+allocation lands.  On the host the simulation keeps that property by making
+every cost scale with live slabs instead of with the reservation: each super
+block's store is an anonymous mapping on 4 KiB demand-zero pages (only the
+pages holding slabs ever written become resident), and resident warps are
+indexed by their ``(super block, memory block)`` so a deallocation touches only
+the register caches of warps resident in the freed unit's block.
+
 Addresses are the 32-bit layouts of :mod:`repro.core.address`.  The regular
 allocator stores each super block's 64-bit base pointer in shared memory, so
 every address decode on a lookup path costs one shared-memory read; the
-*light* variant (:class:`repro.core.slab_alloc_light.SlabAllocLight`) places
-all super blocks in one contiguous array and skips that read at the price of a
-4 GB capacity limit.
+*light* variant (:class:`repro.core.slab_alloc_light.SlabAllocLight`) models
+all super blocks in one contiguous array, so its decode skips that read, at
+the price of a 4 GB capacity limit.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +68,26 @@ __all__ = ["SlabAlloc", "ResidentBlock"]
 
 _FULL_WORD = 0xFFFFFFFF
 _BITMAP_WORDS = 32
+_UNIT_MASK = (1 << addr.UNIT_BITS) - 1
+_BLOCK_MASK = (1 << addr.BLOCK_BITS) - 1
+
+
+def _demand_zero_store(rows: int, words: int) -> np.ndarray:
+    """A zero ``(rows, words)`` uint32 array whose pages fault in on first write.
+
+    Backed by a private anonymous mapping advised ``MADV_NOHUGEPAGE`` where the
+    platform defines it: the kernel zero-fills one 4 KiB page the first time a
+    slab in it is written, so resident memory follows the slabs actually used.
+    (NumPy's own allocator asks for transparent huge pages on arrays this
+    large, and then the first write to a slab zero-fills 2 MiB.)
+    """
+    size = rows * words * np.dtype(np.uint32).itemsize
+    private = getattr(mmap, "MAP_PRIVATE", None)
+    buffer = mmap.mmap(-1, size) if private is None else mmap.mmap(-1, size, flags=private)
+    no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if no_huge_pages is not None:
+        buffer.madvise(no_huge_pages)
+    return np.frombuffer(buffer, dtype=np.uint32).reshape(rows, words)
 
 
 @dataclass
@@ -112,15 +141,19 @@ class SlabAlloc:
         self._bitmaps: List[np.ndarray] = [
             self._new_bitmap() for _ in range(self.num_super_blocks)
         ]
-        #: Lazily materialized unit storage, one contiguous zero-backed array
+        #: Lazily materialized unit storage, one contiguous demand-zero array
         #: per super block (matching the CUDA code's one cudaMalloc per super
-        #: block).  Rows are ``block * units_per_block + unit``; keeping every
-        #: slab of a super block in ONE ndarray keeps the store lists that
-        #: gather_views hands to the vectorized backend short, where
-        #: per-memory-block arrays fragmented them into hundreds of stores.
+        #: block; see _demand_zero_store).  Rows are
+        #: ``block * units_per_block + unit``; keeping every slab of a super
+        #: block in ONE ndarray keeps the store lists that gather_views hands
+        #: to the vectorized backend short, where per-memory-block arrays
+        #: fragmented them into hundreds of stores.
         self._super_stores: Dict[int, np.ndarray] = {}
         #: Per-warp resident blocks.
         self._resident: Dict[int, ResidentBlock] = {}
+        #: The same states keyed by ``(super_block, block)`` then warp id, so a
+        #: deallocation refreshes only the warps resident in the freed block.
+        self._residents_in: Dict[Tuple[int, int], Dict[int, ResidentBlock]] = {}
         #: Number of currently allocated units (host-side bookkeeping).
         self._allocated_units = 0
         #: Optional fault hook (a :class:`repro.faults.FaultPlan` or scoped
@@ -167,11 +200,9 @@ class SlabAlloc:
             self.device.counters.allocations += 1
             self._allocated_units += 1
             # Hand the slab out reading all-EMPTY.  Unit storage is backed by
-            # lazily materialized zero pages (see _super_store), so the empty
-            # pattern is written per 128-byte slab at allocation time instead
-            # of per block at first touch — a warp's resident block hashes
-            # anywhere in the pool, so eager whole-block fills made nearly
-            # every allocation fault in fresh pages.
+            # demand-zero pages (see _demand_zero_store), so the empty pattern
+            # is written per 128-byte slab at allocation time instead of per
+            # block at first touch; the write faults in at most one 4 KiB page.
             self._super_store(state.super_block)[self._row(state.block, unit)] = C.EMPTY_KEY
             return addr.make_address(state.super_block, state.block, unit)
 
@@ -199,9 +230,69 @@ class SlabAlloc:
         # Invalidate any stale register caches of this word held by warps
         # resident in the same block (they would refresh on their next failed
         # atomic anyway; clearing here keeps the simulation conservative).
-        for resident in self._resident.values():
-            if resident.super_block == super_block and resident.block == block:
-                resident.cached_bitmap[lane] &= np.uint32(~(1 << bit) & _FULL_WORD)
+        for resident in self._residents_in.get((super_block, block), {}).values():
+            resident.cached_bitmap[lane] &= np.uint32(~(1 << bit) & _FULL_WORD)
+
+    def deallocate_many(
+        self, warp: Warp, addresses: Union[np.ndarray, Sequence[int]]
+    ) -> None:
+        """Return a batch of units, counted exactly like a loop of :meth:`deallocate`.
+
+        The whole batch is validated before anything changes: an address out
+        of range, a unit that is not allocated, or an address repeated within
+        the batch raises :class:`AllocationError` with no bit cleared and no
+        counter charged.  Otherwise every address is charged one
+        ``DEALLOC_INSTRUCTIONS``, one 32-bit atomic and one deallocation, and
+        every slab that does not already read as empty one coalesced write.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64).reshape(-1)
+        count = len(addresses)
+        if not count:
+            return
+        supers, blocks, units = self._split_addresses(addresses, "deallocate_many")
+        if np.unique(addresses).size != count:
+            raise AllocationError("deallocate_many: address repeated within the batch")
+        lanes = units >> 5
+        masks = np.uint32(1) << (units & 31).astype(np.uint32)
+        in_super = {int(s): supers == s for s in np.unique(supers)}
+        for super_block, mask in in_super.items():
+            words = self._bitmaps[super_block][blocks[mask], lanes[mask]]
+            free = (words & masks[mask]) == 0
+            if np.any(free):
+                address = int(addresses[mask][np.argmax(free)])
+                raise AllocationError(
+                    f"double free of slab address 0x{address:08X} (unit was not allocated)"
+                )
+
+        warp.charge(C.DEALLOC_INSTRUCTIONS * count)
+        counters = self.device.counters
+        counters.atomic32 += count
+        counters.deallocations += count
+        self._allocated_units -= count
+
+        # Fold the batch into one clear mask per touched (super block, block).
+        keys = supers * self.config.num_memory_blocks + blocks
+        touched, inverse = np.unique(keys, return_inverse=True)
+        cleared = np.zeros((len(touched), _BITMAP_WORDS), dtype=np.uint32)
+        np.bitwise_or.at(cleared, (inverse, lanes), masks)
+        keep = ~cleared
+        touched_supers, touched_blocks = np.divmod(touched, self.config.num_memory_blocks)
+        for super_block, mask in in_super.items():
+            in_block = touched_supers == super_block
+            self._bitmaps[super_block][touched_blocks[in_block]] &= keep[in_block]
+            # Recycle the units as empty slabs, writing only the non-empty ones.
+            store = self._super_stores.get(super_block)
+            if store is not None:
+                rows = blocks[mask] * self.config.units_per_block + units[mask]
+                dirty = rows[np.any(store[rows] != C.EMPTY_KEY, axis=1)]
+                store[dirty] = C.EMPTY_KEY
+                counters.coalesced_write_transactions += len(dirty)
+        if self._residents_in:
+            for index, key in enumerate(touched.tolist()):
+                peers = self._residents_in.get(divmod(key, self.config.num_memory_blocks))
+                if peers:
+                    for resident in peers.values():
+                        resident.cached_bitmap &= keep[index]
 
     def slab_view(self, address: int) -> Tuple[np.ndarray, int]:
         """Return ``(unit_store, row)`` such that ``unit_store[row]`` is the slab's words."""
@@ -217,18 +308,7 @@ class SlabAlloc:
         vectorized bulk backend and the table introspection helpers.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        units = addresses & ((1 << addr.UNIT_BITS) - 1)
-        blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
-        supers = (addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)) & (
-            (1 << addr.SUPER_BLOCK_BITS) - 1
-        )
-        if addresses.size:
-            if int(supers.max()) >= self.num_super_blocks:
-                raise AllocationError("gather_views: super block out of range")
-            if int(blocks.max()) >= self.config.num_memory_blocks:
-                raise AllocationError("gather_views: memory block out of range")
-            if int(units.max()) >= self.config.units_per_block:
-                raise AllocationError("gather_views: memory unit out of range")
+        supers, blocks, units = self._split_addresses(addresses, "gather_views")
         stores: List[np.ndarray] = []
         store_idx = np.empty(len(addresses), dtype=np.int64)
         rows = blocks * self.config.units_per_block + units
@@ -340,15 +420,7 @@ class SlabAlloc:
             return
         if np.unique(addresses).size != addresses.size:
             raise AllocationError("restore_units: duplicate addresses in input")
-        units = addresses & ((1 << addr.UNIT_BITS) - 1)
-        blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
-        supers = addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)
-        if (
-            int(supers.max()) >= self.num_super_blocks
-            or int(blocks.max()) >= self.config.num_memory_blocks
-            or int(units.max()) >= self.config.units_per_block
-        ):
-            raise AllocationError("restore_units: address out of range")
+        supers, blocks, units = self._split_addresses(addresses, "restore_units")
         # Vectorized mirror of export_units: set the bitmap bits per super
         # block, then scatter the slab words per (super block, memory block).
         lanes, bits = np.divmod(units, 32)
@@ -410,19 +482,31 @@ class SlabAlloc:
     def _super_store(self, super_block: int) -> np.ndarray:
         store = self._super_stores.get(super_block)
         if store is None:
-            # Zero-backed (calloc) so materializing a super block costs no
-            # page touches; physical pages fault in only for units actually
-            # used.  The EMPTY_KEY pattern every reader expects is written
-            # per slab by warp_allocate when the unit is handed out.
-            store = np.zeros(
-                (
-                    self.config.num_memory_blocks * self.config.units_per_block,
-                    self.slab_words,
-                ),
-                dtype=np.uint32,
+            # Materializing a super block touches no page; the EMPTY_KEY
+            # pattern every reader expects is written per slab by
+            # warp_allocate when the unit is handed out.
+            store = _demand_zero_store(
+                self.config.num_memory_blocks * self.config.units_per_block,
+                self.slab_words,
             )
             self._super_stores[super_block] = store
         return store
+
+    def _split_addresses(
+        self, addresses: np.ndarray, caller: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(supers, blocks, units)`` of int64 addresses, all within this allocator."""
+        units = addresses & _UNIT_MASK
+        blocks = (addresses >> addr.UNIT_BITS) & _BLOCK_MASK
+        supers = addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)
+        if addresses.size and (
+            int(addresses.min()) < 0
+            or int(supers.max()) >= self.num_super_blocks
+            or int(blocks.max()) >= self.config.num_memory_blocks
+            or int(units.max()) >= self.config.units_per_block
+        ):
+            raise AllocationError(f"{caller}: address out of range")
+        return supers, blocks, units
 
     def _check_bounds(self, super_block: int, block: int, unit: int) -> None:
         if super_block >= self.num_super_blocks:
@@ -436,8 +520,20 @@ class SlabAlloc:
         state = self._resident.get(warp.warp_id)
         if state is None:
             state = self._assign_resident(warp, attempt=0)
-            self._resident[warp.warp_id] = state
+            self._set_resident(warp.warp_id, state)
         return state
+
+    def _set_resident(self, warp_id: int, state: ResidentBlock) -> None:
+        """Make ``state`` the warp's resident block in both resident indexes."""
+        previous = self._resident.get(warp_id)
+        if previous is not None:
+            key = (previous.super_block, previous.block)
+            peers = self._residents_in[key]
+            del peers[warp_id]
+            if not peers:
+                del self._residents_in[key]
+        self._resident[warp_id] = state
+        self._residents_in.setdefault((state.super_block, state.block), {})[warp_id] = state
 
     def _assign_resident(self, warp: Warp, attempt: int) -> ResidentBlock:
         super_block = hash_pair(warp.warp_id, attempt, self.num_super_blocks, seed=self.seed)
@@ -463,7 +559,7 @@ class SlabAlloc:
             )
         new_state = self._assign_resident(warp, attempt=state.attempt + 1)
         new_state.changes_this_request = changes
-        self._resident[warp.warp_id] = new_state
+        self._set_resident(warp.warp_id, new_state)
         return new_state
 
     def _grow(self) -> None:

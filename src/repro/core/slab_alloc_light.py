@@ -3,10 +3,16 @@
 The regular SlabAlloc stores each super block's 64-bit base pointer in shared
 memory; translating a 32-bit slab address into an actual memory location
 therefore costs one shared-memory read per lookup, which is noticeable in
-search-heavy workloads.  SlabAlloc-light allocates *all* super blocks in one
-contiguous array so a single global base pointer suffices: address decoding
-becomes pure arithmetic, at the price of scalability (at most ~4 GB of slabs,
-versus ~1 TB for the regular layout).
+search-heavy workloads.  On the GPU, SlabAlloc-light allocates *all* super
+blocks in one contiguous array so a single global base pointer suffices:
+address decoding becomes pure arithmetic, at the price of scalability (at most
+~4 GB of slabs, versus ~1 TB for the regular layout).
+
+The simulation keeps the parent's host storage (one store per super block);
+the light variant differs only in the modelled decode cost
+(:meth:`~repro.core.slab_alloc.SlabAlloc.charge_address_decode` charges one
+warp instruction and no shared-memory read) and in the 4 GB capacity check
+made at construction.
 
 The paper reports up to a 25 % search-rate improvement from the light variant
 in lookup-heavy scenarios; the ablation benchmark
@@ -28,7 +34,11 @@ LIGHT_CAPACITY_BYTES = 4 * 1024**3
 
 
 class SlabAllocLight(SlabAlloc):
-    """SlabAlloc with contiguous super blocks and free address decoding."""
+    """SlabAlloc with the light variant's cheap address decode and 4 GB capacity limit.
+
+    Storage, allocation and deallocation are the parent's; only
+    ``charge_address_decode`` and the capacity check differ.
+    """
 
     def __init__(
         self,
