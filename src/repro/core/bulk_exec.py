@@ -129,13 +129,16 @@ def set_default_backend(name: str) -> None:
 
 def gather_band(
     lists: "SlabListCollection", lo: int, hi: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Vectorized migration kernel: live contents of buckets ``[lo, hi)``.
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Vectorized migration kernel: live contents and chained slabs of buckets ``[lo, hi)``.
 
-    Returns ``(keys, values)`` in bucket scan order — the exact order the
-    reference generator schedule observes when walking the same band with
+    Returns ``(keys, values, chained)``.  ``keys`` / ``values`` are in bucket
+    scan order — the exact order the reference generator schedule observes
+    when walking the same band with
     :meth:`~repro.core.slab_list.SlabListCollection.live_items` — with
-    ``values`` ``None`` in key-only mode.  One grouped gather over the
+    ``values`` ``None`` in key-only mode.  ``chained`` holds the addresses of
+    the band's allocated (non-base) slabs in the same order, the slabs a
+    migration releases once the band has moved.  One grouped gather over the
     band's slabs (via :class:`~repro.core.slab_list.ChainTable`), no Python
     loop per slab.  Host-side and uncounted, like the other snapshot scans;
     the *re-insertion* of the band is what the migration charges to the
@@ -144,6 +147,8 @@ def gather_band(
     cfg = lists.config
     ct = lists.chain_table()
     start, stop = int(ct.offsets[lo]), int(ct.offsets[hi])
+    addresses = ct.addresses[start:stop]
+    chained = addresses[addresses != C.BASE_SLAB]
     words = np.empty((stop - start, C.SLAB_WORDS), dtype=np.uint32)
     band_store_idx = ct.store_idx[start:stop]
     band_rows = ct.rows[start:stop]
@@ -157,8 +162,8 @@ def gather_band(
     rows, cols = np.nonzero(live)
     out_keys = keys[rows, cols]
     if not cfg.key_value:
-        return out_keys, None
-    return out_keys, words[rows, key_lanes[cols] + 1]
+        return out_keys, None, chained
+    return out_keys, words[rows, key_lanes[cols] + 1], chained
 
 
 class _AppendFailed(Exception):

@@ -10,15 +10,18 @@ tombstones accumulate, so every later traversal pays for history.
 
 This module adds the missing recourse:
 
-* :func:`resize_table` rebuilds a live :class:`~repro.core.slab_hash.SlabHash`
-  into a new bucket array of any size.  Live elements are migrated through
-  the table's regular bulk-insertion path — on either execution backend —
-  so the migration's device events (slab reads, CAS traffic, allocations,
-  resident-block churn) are charged to the device counters and priced by the
-  cost model exactly like any other kernel, and the old chained slabs are
-  returned to SlabAlloc afterwards.  Multi-value (duplicate-key) contents
-  are migrated in bucket scan order, which preserves the relative order that
-  ``search_all`` / ``delete`` / ``delete_all`` observe.
+* One band mover migrates a band of old buckets into a new bucket array
+  through the table's regular bulk-insertion path — on either execution
+  backend — so the migration's device events (slab reads, CAS traffic,
+  allocations, resident-block churn) are charged to the device counters and
+  priced by the cost model exactly like any other kernel, and the band's
+  old chained slabs are returned to SlabAlloc afterwards.  Multi-value
+  (duplicate-key) contents move in bucket scan order, which preserves the
+  relative order that ``search_all`` / ``delete`` / ``delete_all`` observe.
+  :func:`begin_migration` / :func:`migrate_step` run an incremental resize,
+  one bounded band per step with both arrays live in between;
+  :func:`resize_table` is the stop-the-world resize, one band over the
+  whole table.
 * :class:`LoadFactorPolicy` is the adaptive controller: a target beta band
   with geometric growth/shrink factors and a hysteresis dead-zone.  Tables
   constructed with a policy consult it after every mutating batch
@@ -31,10 +34,12 @@ This module adds the missing recourse:
   counts, migrated items, released slabs, modelled seconds) — the coverage
   hooks the property-based differential harness asserts against.
 
-Exception safety: if SlabAlloc is exhausted mid-migration, the partially
-filled new bucket array is torn down (its slabs deallocated), the old bucket
-array and hash function are restored unchanged, and the allocation error
-propagates — a failed resize never corrupts the table.
+Exception safety: a failed step deletes its partial band from the new
+array and leaves the watermark put, so the migration stays resumable; a
+failed stop-the-world resize tears the partially filled new array down (its
+slabs deallocated).  Either way the old bucket array and hash function are
+unchanged and the error propagates — a failed resize never corrupts the
+table.
 """
 
 from __future__ import annotations
@@ -288,85 +293,33 @@ def _chained_addresses(lists: SlabListCollection) -> np.ndarray:
 def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") -> ResizeResult:
     """Rebuild ``table`` into a bucket array of ``num_buckets`` base slabs.
 
-    The migration runs through the table's own bulk-insertion path (so it
-    executes — and is counted — on whichever backend the table uses), the old
-    chained slabs are returned to the allocator, and the hash function keeps
-    its universal-family draw ``(a, b)`` re-ranged to the new bucket count,
-    exactly what a fresh table built with the same seed would use.
+    A migration moved as one band over the whole table: the same gather,
+    bulk insertion and slab release as :func:`migrate_step`, so the rebuild
+    executes (and is counted) on whichever backend the table uses.  The hash
+    function keeps its universal-family draw ``(a, b)`` re-ranged to the new
+    bucket count, exactly what a fresh table built with the same seed would
+    use.  Unlike a step, the rebuild does not fire the ``migration.step``
+    fault site and is not counted as a migration step in
+    :class:`ResizeStats`.
 
     Returns a :class:`ResizeResult`; requesting the current bucket count is a
-    counted no-op (``direction="noop"``) with no device work.
+    counted no-op (``direction="noop"``) with no device work.  If the move
+    fails, the partial new array is torn down, the table is left exactly as
+    it was, and the error propagates.
     """
-    if num_buckets <= 0:
-        raise ValueError(f"num_buckets must be positive, got {num_buckets}")
-    old_buckets = table.num_buckets
-    beta_before = table.beta()
-    if num_buckets == old_buckets:
-        result = ResizeResult(
-            old_buckets=old_buckets,
-            new_buckets=old_buckets,
-            direction="noop",
-            trigger=trigger,
-            migrated=0,
-            released_slabs=0,
-            beta_before=beta_before,
-            beta_after=beta_before,
-            counters=Counters(),
-            seconds=0.0,
-        )
-        table.resize_stats.note(result)
-        return result
-
-    device = table.device
-    before = device.snapshot()
-
-    # Host-side snapshot of the live contents, in bucket scan order (the
-    # order delete/search_all traverse, so duplicate-key semantics survive).
-    items = table.lists.all_live_items()
-    old_lists = table.lists
-    old_hash = table.hash_fn
-    old_chained = _chained_addresses(old_lists)
-
-    table.lists = SlabListCollection(device, table.alloc, num_buckets, table.config)
-    table.hash_fn = old_hash.rebucket(num_buckets)
-
-    was_in_resize = table._in_resize
-    table._in_resize = True
+    noop = begin_migration(table, num_buckets, trigger=trigger, step_buckets=table.num_buckets)
+    if noop is not None:
+        return noop
+    state = table.migration
+    assert state is not None
     try:
-        if items:
-            keys = np.fromiter((key for key, _ in items), dtype=np.uint32, count=len(items))
-            values = None
-            if table.config.key_value:
-                values = np.fromiter(
-                    (value for _, value in items), dtype=np.uint32, count=len(items)
-                )
-            table.bulk_insert(keys, values)
+        result = _move_band(table, state, 0, state.old_buckets, undo_band=False).result
     except Exception:
-        # Strong guarantee: tear the partial new array down, restore the old.
-        table.alloc.deallocate_many(table._next_warp(), _chained_addresses(table.lists))
-        table.lists = old_lists
-        table.hash_fn = old_hash
+        # Strong guarantee: the move left the old array as it was; discard the new one.
+        table.alloc.deallocate_many(table._next_warp(), _chained_addresses(state.new_lists))
+        table.migration = None
         raise
-    finally:
-        table._in_resize = was_in_resize
-
-    if old_chained.size:
-        table.alloc.deallocate_many(table._next_warp(), old_chained)
-
-    counters = device.counters.diff(before)
-    result = ResizeResult(
-        old_buckets=old_buckets,
-        new_buckets=num_buckets,
-        direction="grow" if num_buckets > old_buckets else "shrink",
-        trigger=trigger,
-        migrated=len(items),
-        released_slabs=int(old_chained.size),
-        beta_before=beta_before,
-        beta_after=table.beta(),
-        counters=counters,
-        seconds=CostModel(device.spec).elapsed(counters).total_time,
-    )
-    table.resize_stats.note(result)
+    assert result is not None  # a band over the whole table completes the migration
     return result
 
 
@@ -431,19 +384,26 @@ class MigrationStepResult:
 
 def _gather_band_reference(
     lists: SlabListCollection, lo: int, hi: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Live (keys, values) of buckets ``[lo, hi)`` in scan order (generator schedule)."""
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Live (keys, values) and chained slab addresses of buckets ``[lo, hi)``.
+
+    The generator-schedule twin of :func:`repro.core.bulk_exec.gather_band`:
+    same output, walked bucket by bucket in scan order.
+    """
     keys: List[int] = []
     values: List[int] = []
+    chained: List[int] = []
     for bucket in range(lo, hi):
+        chained.extend(lists.chain_addresses(bucket))
         for key, value in lists.live_items(bucket):
             keys.append(key)
             if value is not None:
                 values.append(value)
     out_keys = np.asarray(keys, dtype=np.uint32)
+    out_chained = np.asarray(chained, dtype=np.int64)
     if not lists.config.key_value:
-        return out_keys, None
-    return out_keys, np.asarray(values, dtype=np.uint32)
+        return out_keys, None, out_chained
+    return out_keys, np.asarray(values, dtype=np.uint32), out_chained
 
 
 def begin_migration(
@@ -481,7 +441,11 @@ def begin_migration(
         return result
     if step_buckets is None:
         policy = table.policy
-        step_buckets = policy.migration_step_buckets if policy is not None else 8
+        step_buckets = (
+            policy.migration_step_buckets
+            if policy is not None
+            else LoadFactorPolicy.migration_step_buckets
+        )
     if step_buckets < 1:
         raise ValueError(f"step_buckets must be at least 1, got {step_buckets}")
     table.migration = MigrationState(
@@ -499,21 +463,16 @@ def begin_migration(
 def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> MigrationStepResult:
     """Move the next band of old buckets into the new array, whole and atomically.
 
-    The band's live contents are gathered host-side in scan order (the
-    vectorized backend uses the band-gather kernel in
-    :mod:`repro.core.bulk_exec`; the reference backend walks the chains —
-    identical output) and re-inserted through the table's own bulk path
-    against the *new* array, so the step's device events are charged and
-    priced like any other kernel.  On success the band's old chained slabs
-    go back to SlabAlloc, the old base slabs are cleared, and the watermark
-    advances — the step is the atomic unit of migration progress.
+    Fires the ``migration.step`` fault site, moves the band (see
+    :func:`_move_band`) and records the step in :class:`ResizeStats`; the
+    step is the atomic unit of migration progress.
 
-    Exception safety mirrors :func:`resize_table`: if the bulk insert fails
-    mid-band (e.g. allocator exhaustion, injected fault), every band key
-    that reached the new array is deleted again — band keys cannot
-    pre-exist there, since their writes routed to the old array — the
-    watermark stays put, and the error propagates.  Both arrays stay
-    consistent and the migration remains resumable.
+    Exception safety: if the bulk insert fails mid-band (e.g. allocator
+    exhaustion, injected fault), every band key that reached the new array
+    is deleted again — band keys cannot pre-exist there, since their writes
+    routed to the old array — the watermark stays put, and the error
+    propagates.  Both arrays stay consistent and the migration remains
+    resumable.
     """
     state = table.migration
     if state is None:
@@ -525,8 +484,31 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     if step < 1:
         raise ValueError(f"max_buckets must be at least 1, got {step}")
     lo = state.watermark
-    hi = min(lo + step, state.old_buckets)
+    outcome = _move_band(table, state, lo, min(lo + step, state.old_buckets), undo_band=True)
+    table.resize_stats.note_step(buckets=outcome.buckets_moved, items=outcome.items_moved)
+    return outcome
 
+
+def _move_band(
+    table: SlabHash, state: MigrationState, lo: int, hi: int, *, undo_band: bool
+) -> MigrationStepResult:
+    """The band mover: move old buckets ``[lo, hi)`` of the in-flight migration ``state``.
+
+    The band's live contents are gathered host-side in scan order (the
+    vectorized backend uses the band-gather kernel in
+    :mod:`repro.core.bulk_exec`; the reference backend walks the chains —
+    identical output) and re-inserted through the table's own bulk path
+    against the *new* array, so the move's device events are charged and
+    priced like any other kernel.  The band's old chained slabs then go back
+    to SlabAlloc, the old base slabs are cleared, and the watermark advances
+    to ``hi``; when it reaches the end, the table swaps to the new array and
+    the migration is retired into a :class:`ResizeResult`.
+
+    If the bulk insert fails, the table's ``lists`` / ``hash_fn`` point at
+    the old array again and the error propagates; ``undo_band`` first
+    deletes the band's keys from the new array (a step's rollback), and
+    without it the caller discards the new array whole (a rebuild's).
+    """
     device = table.device
     before = device.snapshot()
     old_lists = table.lists
@@ -534,9 +516,9 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     if table.backend == "vectorized":
         from repro.core.bulk_exec import gather_band
 
-        keys, values = gather_band(old_lists, lo, hi)
+        keys, values, band_chained = gather_band(old_lists, lo, hi)
     else:
-        keys, values = _gather_band_reference(old_lists, lo, hi)
+        keys, values, band_chained = _gather_band_reference(old_lists, lo, hi)
 
     was_in_resize = table._in_resize
     table._in_resize = True
@@ -549,7 +531,7 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
         # Roll the partial band back: delete every occurrence that made it
         # into the new array (extra deletes of never-inserted occurrences
         # traverse and miss, which is charged but harmless and deterministic).
-        if len(keys):
+        if undo_band and len(keys):
             table.bulk_delete(keys)
         raise
     finally:
@@ -557,10 +539,7 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
         table.hash_fn = old_hash
         table._in_resize = was_in_resize
 
-    band_chained: List[int] = []
-    for bucket in range(lo, hi):
-        band_chained.extend(old_lists.chain_addresses(bucket))
-    if band_chained:
+    if len(band_chained):
         table.alloc.deallocate_many(table._next_warp(), band_chained)
     old_lists.base_slabs[lo:hi] = C.EMPTY_KEY
 
@@ -572,7 +551,6 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     seconds = CostModel(device.spec).elapsed(delta).total_time
     state.counters += delta
     state.seconds += seconds
-    table.resize_stats.note_step(buckets=hi - lo, items=len(keys))
 
     result: Optional[ResizeResult] = None
     done = state.done

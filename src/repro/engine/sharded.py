@@ -731,9 +731,10 @@ class ShardedSlabHash:
         Failure semantics: shards are independent devices with independent
         allocators, so one shard's failed migration (e.g. allocator
         exhaustion) must not starve the others of maintenance.  A failing
-        shard is restored unchanged — ``resize_table``'s strong guarantee
-        covers its bucket array, chains and allocator occupancy, and a
-        failed incremental step leaves the watermark where it was — the
+        shard is restored unchanged.  A failed stop-the-world resize
+        discards its partial new array, so the bucket array, chains and
+        allocator occupancy are as before; a failed incremental step deletes
+        its partial band and leaves the watermark where it was.  The
         remaining shards still get their rebalance attempt, and the first
         error is re-raised afterwards.
         """

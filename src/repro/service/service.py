@@ -1181,9 +1181,10 @@ class SlabHashService:
         the shards each replayed record touched (pumping is not idempotent
         once migrations are incremental, so replay must not pump untouched
         shards).  A failed migration (e.g. allocator exhaustion) leaves the
-        table restored — ``resize_table``'s strong guarantee for rebuilds;
-        an unchanged watermark with both tables consistent for a failed
-        incremental step — so it is recorded and the service keeps serving
+        table restored — a failed rebuild discards its partial new array; a
+        failed incremental step deletes its partial band, keeping the
+        watermark and both tables consistent — so it is recorded and the
+        service keeps serving
         rather than killing the drain loop.
         Failures append to an append-only log surfaced via
         :attr:`resize_failures` / :meth:`stats`; a later successful

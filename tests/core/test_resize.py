@@ -9,6 +9,8 @@ hysteresis rules of :class:`LoadFactorPolicy` holding at the boundaries.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy, resize_table
 from repro.core.slab_alloc import SlabAlloc
 from repro.core.slab_hash import SlabHash
+from repro.faults import FaultAction, FaultPlan, InjectedMigrationFailure
 from repro.gpusim.device import Device
 from repro.gpusim.errors import AllocationError
 
@@ -124,16 +127,118 @@ class TestResizeEquivalence:
         table.bulk_build(keys, keys)
         items_before = sorted(table.items())
         buckets_before = table.num_buckets
+        before = device.snapshot()
+        units_before = alloc.allocated_units
+        stats_before = table.resize_stats.as_dict()
         # Migrating into 1 bucket needs fresh slabs for every element while the
         # old ones are still held -> the exhausted allocator must fail.
         with pytest.raises(AllocationError):
             table.resize(1)
+        delta = device.counters.diff(before)
+        # One launch: the failed insertion. The partial new array is torn
+        # down by release alone, never by a rollback bulk_delete.
+        assert delta.kernel_launches == 1
+        assert delta.allocations > 0
+        assert delta.allocations == delta.deallocations
+        assert alloc.allocated_units == units_before
+        assert table.resize_stats.as_dict() == stats_before
+        assert table.resize_stats.history == []
+        assert table.migration is None
         assert table.num_buckets == buckets_before
         assert sorted(table.items()) == items_before
         assert np.array_equal(table.bulk_search(keys), keys.astype(np.uint32))
 
 
+def build_mode_table(mode, backend, num_buckets):
+    """A 600-item table: key-value with unique keys, or key-only with duplicates."""
+    if mode == "kv_unique":
+        return build_table(num_buckets, backend=backend)[0]
+    table = SlabHash(num_buckets, alloc_config=ALLOC, seed=11, backend=backend,
+                     key_value=False, unique_keys=False)
+    keys = make_keys(400, seed=11)
+    table.bulk_insert(np.concatenate([keys, keys[:200]]))
+    return table
+
+
+def snapshot_parts(table, path):
+    """A saved snapshot's header (minus the per-step stats) and its arrays."""
+    table.save(str(path))
+    with np.load(path, allow_pickle=False) as archive:
+        header = json.loads(str(archive["header"][()]))
+        arrays = {name: archive[name] for name in archive.files if name != "header"}
+    for name in ("migration_steps", "migration_buckets", "migration_items"):
+        del header["resize_stats"][name]
+    return header, arrays
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("mode", ["kv_unique", "keyonly_multi"])
+@pytest.mark.parametrize("start, target", [(8, 64), (64, 8)], ids=["grow", "shrink"])
+def test_resize_matches_a_one_band_migration(backend, mode, start, target, tmp_path):
+    """A stop-the-world resize is exactly one whole-table migration band."""
+    rebuilt = build_mode_table(mode, backend, start)
+    banded = build_mode_table(mode, backend, start)
+    result = rebuilt.resize(target)
+    assert banded.begin_resize(target, step_buckets=start) is None
+    step = banded.migrate_step()
+    assert step.done
+    assert step.result is not None
+    assert rebuilt.device.counters.as_dict() == banded.device.counters.as_dict()
+    assert rebuilt.items() == banded.items()
+    assert result.migrated == step.result.migrated
+    assert result.released_slabs == step.result.released_slabs
+    assert result.counters.as_dict() == step.result.counters.as_dict()
+    # A rebuild is not an incremental step: only the banded table counts one.
+    assert rebuilt.resize_stats.migration_steps == 0
+    assert banded.resize_stats.migration_steps == 1
+    rebuilt_header, rebuilt_arrays = snapshot_parts(rebuilt, tmp_path / "rebuilt.npz")
+    banded_header, banded_arrays = snapshot_parts(banded, tmp_path / "banded.npz")
+    assert rebuilt_header == banded_header
+    assert rebuilt_arrays.keys() == banded_arrays.keys()
+    for name, array in rebuilt_arrays.items():
+        assert np.array_equal(array, banded_arrays[name]), name
+
+
+def exhausted_table(backend):
+    """A 2-bucket table whose allocator cannot hold a second copy of it."""
+    device = Device()
+    alloc = SlabAlloc(
+        device,
+        SlabAllocConfig(1, 2, 32, growth_threshold=10_000, max_super_blocks=1),
+        seed=1,
+    )
+    table = SlabHash(2, device=device, alloc=alloc, seed=7, backend=backend)
+    keys = make_keys(500, seed=7)
+    table.bulk_build(keys, keys)
+    return table
+
+
 class TestResizeAccounting:
+    def test_failed_resize_charges_match_across_backends(self):
+        diffs = {}
+        for backend in ("reference", "vectorized"):
+            table = exhausted_table(backend)
+            before = table.device.snapshot()
+            with pytest.raises(AllocationError):
+                table.resize(1)
+            diffs[backend] = table.device.counters.diff(before).as_dict()
+        assert diffs["reference"] == diffs["vectorized"]
+
+    def test_resize_leaves_the_migration_step_fault_site_armed(self):
+        table, keys, values = build_table(8)
+        plan = FaultPlan({("migration.step", 0): FaultAction(exc="migration")})
+        table.alloc.faults = plan
+        table.resize(64)
+        assert plan.fired == []
+        assert table.begin_resize(128) is None
+        with pytest.raises(InjectedMigrationFailure):
+            table.migrate_step()
+        assert table.migration.watermark == 0
+        while table.migrate_step().result is None:
+            pass
+        assert table.num_buckets == 128
+        assert np.array_equal(table.bulk_search(keys), values)
+
     def test_migration_is_charged_to_the_device(self):
         table, keys, values = build_table(8)
         before = table.device.snapshot()
