@@ -24,9 +24,8 @@ Run directly (or via ``scripts/smoke.sh`` with ``--smoke``)::
         [--levels 4,8,16,32,64,96,128,160] [--smoke] [--out BENCH_service.json]
 
 Schema (``SCHEMA_VERSION`` 4; version 3 replaced the single fixed-load run
-of ``bench_service_latency.py`` — which now writes
-``BENCH_service_latency.json`` — with the concurrency sweep, the knee
-summary, and the dedicated latency load point; version 4 adds an optional
+with the concurrency sweep, the knee summary, and the dedicated latency
+load point; version 4 adds an optional
 ``degraded`` section written by ``benchmarks/bench_degraded.py`` recording
 the overload/quarantine operating points — this script leaves it intact if
 present and omits it on a fresh document)::

@@ -150,8 +150,4 @@ python benchmarks/bench_service_saturation.py --smoke \
 echo "== Degraded-mode benchmark (merges into the smoke document) =="
 python benchmarks/bench_degraded.py --smoke --out results/smoke/BENCH_service.json
 
-echo "== Service-latency benchmark (tiny stream) =="
-python benchmarks/bench_service_latency.py --num-ops 2048 --initial 2048 \
-  --num-shards 2 --max-batch 256 --burst 128 --out results/smoke/BENCH_service_latency.json
-
 echo "== smoke OK =="

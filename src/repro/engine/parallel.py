@@ -5,9 +5,10 @@ simulated device, so the engine's *modelled* time is already the slowest
 shard's time — but until this module, the simulation itself still executed
 all shards serially in one Python process.  :class:`ProcessShardExecutor`
 closes that gap: each shard's state lives resident in a persistent worker
-process (``multiprocessing`` **spawn** context, one worker per shard group),
-and the engine dispatches per-shard sub-batches to the workers instead of
-executing them inline.
+process (``multiprocessing`` **spawn** context, one worker per shard group).
+The engine's one dispatcher builds the same ``(shard, method, args,
+kwargs)`` table calls in serial and process mode; :meth:`run_calls` runs
+them in the workers instead of inline.
 
 Design:
 
@@ -17,8 +18,10 @@ Design:
   stays resident; restoring is bit-identical by the persistence layer's
   guarantee, so a worker-executed batch produces exactly the results and
   device-counter deltas the serial path would.
-* **Array traffic per batch.**  Per-batch traffic is NumPy op/key/value
-  arrays and result arrays over OS pipes; no table state moves per batch.
+* **Array traffic per batch.**  Per-batch traffic is the pickled call —
+  NumPy op/key/value arrays, plus a seeded
+  :class:`~repro.gpusim.scheduler.WarpScheduler` for a scheduled batch —
+  and result arrays over OS pipes; no table state moves per batch.
   Every reply carries the worker-side device-counter state, which the
   parent copies onto its local shard mirror — so ``engine.measure()`` and
   the service's per-batch ``measure_phase`` see exactly the counters a
@@ -59,6 +62,7 @@ import weakref
 from types import TracebackType
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
@@ -77,16 +81,38 @@ if TYPE_CHECKING:
 
 from repro.faults import FaultPlan, WorkerCrashed
 
-__all__ = ["ProcessShardExecutor", "ShardQuery"]
+__all__ = ["ProcessShardExecutor", "ShardCall", "ShardQuery", "shard_summary"]
+
+#: One per-shard table call: ``(shard, method, args, kwargs)``.
+ShardCall = Tuple[int, str, Tuple[object, ...], Dict[str, object]]
 
 
-class ShardQuery(TypedDict):
-    """Cheap per-shard state summary served by the worker ``query`` command."""
+class ShardQuery(TypedDict, total=False):
+    """Per-shard state summary; holds only the fields asked for."""
 
     len: int
     num_buckets: int
     used_bytes: int
     migrating: bool
+
+
+_SUMMARY_READERS: Dict[str, Callable[["SlabHash"], object]] = {
+    "len": len,
+    "num_buckets": lambda table: table.num_buckets,
+    "used_bytes": lambda table: table.used_bytes(),
+    "migrating": lambda table: table.migration is not None,
+}
+
+
+def shard_summary(table: "SlabHash", fields: Sequence[str]) -> ShardQuery:
+    """The ``fields`` of :class:`ShardQuery` read from one table.
+
+    The worker's ``query`` command and the engine's local reads both call
+    this.  Only the requested fields are read, because ``len`` and
+    ``used_bytes`` walk every chain.
+    """
+    return cast(ShardQuery, {field: _SUMMARY_READERS[field](table) for field in fields})
+
 
 #: Seconds to wait for a worker to exit cleanly before terminating it.
 _JOIN_TIMEOUT = 5.0
@@ -109,10 +135,9 @@ def _worker_main(conn: Connection) -> None:
     the measured per-worker compute the parallel benchmark's critical-path
     metric sums.
     """
-    from repro.gpusim.scheduler import WarpScheduler
     from repro.persist.snapshot import table_from_bytes, table_to_bytes
 
-    tables: Dict[int, object] = {}
+    tables: Dict[int, "SlabHash"] = {}
     while True:
         try:
             message = conn.recv()
@@ -130,20 +155,8 @@ def _worker_main(conn: Connection) -> None:
             elif kind == "call":
                 _, _, method, args, kwargs = message
                 payload = getattr(tables[shard], method)(*args, **kwargs)
-            elif kind == "concurrent":
-                _, _, op_codes, keys, values, seed, wave_size = message
-                scheduler = None if seed is None else WarpScheduler(seed=seed)
-                payload = tables[shard].concurrent_batch(
-                    op_codes, keys, values, scheduler=scheduler, wave_size=wave_size
-                )
             elif kind == "query":
-                table = tables[shard]
-                payload = {
-                    "len": len(table),
-                    "num_buckets": table.num_buckets,
-                    "used_bytes": table.used_bytes(),
-                    "migrating": table.migration is not None,
-                }
+                payload = shard_summary(tables[shard], message[2])
             elif kind == "collect":
                 payload = table_to_bytes(tables[shard])
             else:
@@ -235,7 +248,7 @@ class ProcessShardExecutor:
         self._conns: List[Optional["Connection"]] = [None for _ in range(self.num_workers)]
         self._worker_cpu = [0.0 for _ in range(self.num_workers)]
         # Shards whose worker-resident state was lost in a crash and has not
-        # been re-shipped: the next call/concurrent dispatch to each raises
+        # been re-shipped: the next call dispatch to each raises
         # WorkerCrashed exactly once, so every affected lane gets its own
         # crash signal even when one worker hosted several shards.  Reads
         # (collect/query) serve the respawned mirror state instead.
@@ -342,7 +355,7 @@ class ProcessShardExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         worker = self._worker_of(shard)
-        if command[0] in ("call", "concurrent") and shard in self._lost:
+        if command[0] == "call" and shard in self._lost:
             # This shard's state died with its worker and nothing has been
             # re-shipped: executing against the respawned mirror copy would
             # silently serve stale state, so fail loudly (once per shard).
@@ -432,42 +445,26 @@ class ProcessShardExecutor:
     # Shard operations
     # ------------------------------------------------------------------ #
 
-    def call(self, shard: int, method: str, *args: object, **kwargs: object) -> object:
-        """Invoke ``shard``'s table method in its worker and return the result."""
-        return self._run([(shard, ("call", shard, method, args, kwargs))])[0]
+    def run_calls(self, calls: Sequence[ShardCall]) -> List[object]:
+        """Fan out :data:`ShardCall` calls; results in input order.
 
-    def run_calls(
-        self, calls: Sequence[Tuple[int, str, Tuple[object, ...]]]
-    ) -> List[object]:
-        """Fan out ``(shard, method, args)`` calls; results in input order."""
-        return self._run(
-            [(shard, ("call", shard, method, args, {})) for shard, method, args in calls]
-        )
-
-    def run_concurrent(
-        self,
-        batches: Sequence[Tuple[int, object, object, object, Optional[int], Optional[int]]],
-    ) -> List[object]:
-        """Fan out concurrent mixed batches.
-
-        Each entry is ``(shard, op_codes, keys, values, scheduler_seed,
-        wave_size)``; the worker builds the
-        :class:`~repro.gpusim.scheduler.WarpScheduler` from the seed locally
-        (schedulers are deterministic functions of their seed, so this is
-        bit-identical to passing the object).
+        Arguments are pickled to the worker, so a
+        :class:`~repro.gpusim.scheduler.WarpScheduler` passed as a keyword
+        argument arrives with its seed state and draws exactly what it
+        would have drawn inline.
         """
         return self._run(
             [
-                (shard, ("concurrent", shard, op_codes, keys, values, seed, wave))
-                for shard, op_codes, keys, values, seed, wave in batches
+                (shard, ("call", shard, method, args, kwargs))
+                for shard, method, args, kwargs in calls
             ]
         )
 
-    def query(self, shards: Sequence[int]) -> List[ShardQuery]:
-        """Cheap per-shard state summaries (len/buckets/migrating)."""
+    def query(self, shards: Sequence[int], fields: Sequence[str]) -> List[ShardQuery]:
+        """The summary ``fields`` of each shard (see :func:`shard_summary`)."""
         return cast(
             List[ShardQuery],
-            self._run([(shard, ("query", shard)) for shard in shards]),
+            self._run([(shard, ("query", shard, tuple(fields))) for shard in shards]),
         )
 
     def sync(self, into: Optional[List["SlabHash"]] = None) -> None:

@@ -23,18 +23,22 @@ the sum — :meth:`ShardedSlabHash.measure` returns an
 :class:`~repro.engine.stats.EngineStats` with both views plus the merged
 counters.
 
-Shards can also execute concurrently *for real*: constructing the engine
-with ``executor="process"`` hands each shard to a persistent worker process
-(:class:`~repro.engine.parallel.ProcessShardExecutor`) and every engine
-operation dispatches per-shard sub-batches to the workers instead of running
-them inline.  Results, device counters, and migration/resize behavior are
-bit-identical to the serial path (``tests/engine/test_parallel.py`` and the
-proptest differential harness assert this); what changes is measured
-wall-clock, which ``benchmarks/bench_parallel.py`` records next to the
-modelled curve.  The parent keeps a *mirror* of every shard: counters are
-refreshed on every dispatch, and full shard state is collected back
-(in place, preserving object identity) whenever a structural read —
-``items()``, ``save()``, the ``shards`` property — needs it.
+Every per-shard operation takes one dispatch path: an engine method builds
+``(shard, method, args, kwargs)`` table calls and one private dispatcher
+runs them, inline on the shard tables by default, or — when the engine is
+constructed with ``executor="process"`` — in persistent worker processes
+that hold the shards resident
+(:class:`~repro.engine.parallel.ProcessShardExecutor`), so shards execute
+concurrently *for real*.  Results, device counters, and migration/resize
+behavior are bit-identical either way (``tests/engine/test_parallel.py``
+and the proptest differential harness assert this); what changes is
+measured wall-clock, which ``benchmarks/bench_parallel.py`` records next to
+the modelled curve.  In process mode the parent keeps a *mirror* of every
+shard: counters are refreshed on every dispatch, summary reads (``len``,
+``num_buckets``, ...) ask the workers while the mirror is stale, and full
+shard state is collected back (in place, preserving object identity)
+whenever a structural read — ``items()``, ``save()``, the ``shards``
+property — needs it.
 
 The ``reproduce shard-sweep`` experiment
 (:func:`repro.perf.figures.shard_sweep`) sweeps the shard count and reports
@@ -45,11 +49,7 @@ from __future__ import annotations
 
 import math
 from types import TracebackType
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type
-
-if TYPE_CHECKING:
-    from repro.engine.interfaces import ShardExecutor
-    from repro.engine.parallel import ShardQuery
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, cast
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy, MigrationStepResult, ResizeResult
 from repro.core.slab_hash import SlabHash
+from repro.engine.parallel import ProcessShardExecutor, ShardCall, ShardQuery, shard_summary
 from repro.engine.router import ShardRouter
 from repro.engine.stats import EngineStats
 from repro.gpusim.costmodel import CostModel
@@ -71,6 +72,15 @@ _SHARD_SEED_STRIDE = 101
 
 #: Accepted values for the ``executor`` constructor knob.
 _EXECUTORS = (None, "serial", "process")
+
+#: Shard methods that only read table state.  Dispatching one leaves the
+#: parent mirror fresh; every other method marks it stale.
+_READS = frozenset({"bulk_search", "search", "search_all"})
+
+
+def _scheduler(seed: Optional[int]) -> Optional[WarpScheduler]:
+    """The warp scheduler for ``seed``; ``None`` selects the phased schedule."""
+    return None if seed is None else WarpScheduler(seed=seed)
 
 
 class MigrationInFlightError(RuntimeError):
@@ -177,7 +187,7 @@ class ShardedSlabHash:
         ]
         self.cost_model = CostModel(device_spec)
         self._ops_routed = np.zeros(num_shards, dtype=np.int64)
-        self._executor: Optional["ShardExecutor"] = None
+        self._executor: Optional[ProcessShardExecutor] = None
         self._stale = False
         self.attach_executor(executor, executor_workers)
 
@@ -233,8 +243,8 @@ class ShardedSlabHash:
         self._shards = list(value)
 
     @property
-    def process_executor(self) -> Optional["ShardExecutor"]:
-        """The attached executor (today a :class:`ProcessShardExecutor`), or ``None`` (serial)."""
+    def process_executor(self) -> Optional[ProcessShardExecutor]:
+        """The attached :class:`ProcessShardExecutor`, or ``None`` (serial)."""
         return self._executor
 
     def attach_executor(
@@ -256,8 +266,6 @@ class ShardedSlabHash:
             return self
         if self._executor is not None:
             raise RuntimeError("a process executor is already attached")
-        from repro.engine.parallel import ProcessShardExecutor
-
         self._executor = ProcessShardExecutor(self._shards, num_workers)
         self._stale = False
         return self
@@ -297,8 +305,76 @@ class ShardedSlabHash:
             self._executor.sync(self._shards)
             self._stale = False
 
-    def _queries(self) -> List["ShardQuery"]:
-        return self._executor.query(range(self.num_shards))
+    def _check_shard(self, shard: int) -> None:
+        if not 0 <= shard < self.num_shards:
+            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
+
+    def _dispatch(self, calls: Sequence[ShardCall]) -> List[object]:
+        """Run ``(shard, method, args, kwargs)`` table calls; results in input order.
+
+        The one path every per-shard operation takes: inline on the shard
+        tables in serial mode, fanned out to the workers in process mode.
+        A call to anything but a :data:`_READS` method marks the mirror
+        stale first, so a dispatch that fails halfway still leaves it
+        marked.
+        """
+        for shard, _, _, _ in calls:
+            self._check_shard(shard)
+        if self._executor is None:
+            return [
+                getattr(self._shards[shard], method)(*args, **kwargs)
+                for shard, method, args, kwargs in calls
+            ]
+        if any(method not in _READS for _, method, _, _ in calls):
+            self._stale = True
+        return self._executor.run_calls(calls)
+
+    def _call(self, shard: int, method: str, *args: object, **kwargs: object) -> object:
+        """One table call through :meth:`_dispatch`."""
+        return self._dispatch([(shard, method, args, kwargs)])[0]
+
+    def _call_every_shard(self, method: str) -> List[object]:
+        return self._dispatch([(shard, method, (), {}) for shard in range(self.num_shards)])
+
+    def _run_parts(
+        self,
+        parts: List[np.ndarray],
+        method: str,
+        arrays: Sequence[Optional[np.ndarray]],
+        out: Optional[np.ndarray] = None,
+        kwargs_of: Callable[[int], Dict[str, object]] = lambda shard: {},
+    ) -> None:
+        """Call ``method`` on each shard's slice of ``arrays`` (``None`` stays ``None``).
+
+        ``parts`` are the router's per-shard stream positions; shards with
+        no positions are skipped.  Results are scattered back into ``out``
+        at those positions when it is given.
+        """
+        live = [(shard, idx) for shard, idx in enumerate(parts) if idx.size]
+        results = self._dispatch(
+            [
+                (
+                    shard,
+                    method,
+                    tuple(None if array is None else array[idx] for array in arrays),
+                    kwargs_of(shard),
+                )
+                for shard, idx in live
+            ]
+        )
+        if out is not None:
+            for (_, idx), result in zip(live, results):
+                out[idx] = result
+
+    def _summaries(self, *fields: str) -> List[ShardQuery]:
+        """The summary ``fields`` of every shard (see :func:`shard_summary`).
+
+        Read from the workers while the mirror is stale, else from the
+        mirror itself.
+        """
+        if self._executor is not None and self._stale:
+            return self._executor.query(range(self.num_shards), fields)
+        return [shard_summary(table, fields) for table in self._shards]
 
     def install_shard(self, shard: int, table: SlabHash) -> None:
         """Replace one shard's table (the service's quarantine-restore hook).
@@ -308,8 +384,7 @@ class ShardedSlabHash:
         which is exactly the path a :class:`~repro.faults.WorkerCrashed`
         restore takes.
         """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
+        self._check_shard(shard)
         self._shards[shard] = table
         if self._executor is not None:
             self._executor.load_shard(shard, table)
@@ -325,9 +400,7 @@ class ShardedSlabHash:
     @property
     def num_buckets(self) -> int:
         """Total buckets across all shards."""
-        if self._executor is not None and self._stale:
-            return sum(q["num_buckets"] for q in self._queries())
-        return sum(shard.num_buckets for shard in self._shards)
+        return sum(summary["num_buckets"] for summary in self._summaries("num_buckets"))
 
     @property
     def devices(self) -> List[Device]:
@@ -393,39 +466,14 @@ class ShardedSlabHash:
                 "semantics for batches with repeated keys; use the hash or "
                 "range policy, or deduplicate the batch"
             )
-        parts = self._partition(keys)
-        if self._executor is not None:
-            self._stale = True
-            self._executor.run_calls(
-                [
-                    (shard, "bulk_insert", (keys[idx], None if values is None else values[idx]))
-                    for shard, idx in enumerate(parts)
-                    if idx.size
-                ]
-            )
-            return
-        for shard, idx in zip(self._shards, parts):
-            if idx.size:
-                shard.bulk_insert(keys[idx], None if values is None else values[idx])
+        self._run_parts(self._partition(keys), "bulk_insert", (keys, values))
 
     def bulk_search(self, queries: Sequence[int]) -> np.ndarray:
         """Search a batch; results are in query order, exactly as SlabHash returns them."""
         self._require_key_partitioning("bulk_search")
         queries = np.asarray(queries, dtype=np.uint64)
         results = np.full(len(queries), C.SEARCH_NOT_FOUND, dtype=np.uint32)
-        parts = self._partition(queries)
-        if self._executor is not None:
-            calls, scatter = [], []
-            for shard, idx in enumerate(parts):
-                if idx.size:
-                    calls.append((shard, "bulk_search", (queries[idx],)))
-                    scatter.append(idx)
-            for idx, found in zip(scatter, self._executor.run_calls(calls)):
-                results[idx] = found
-            return results
-        for shard, idx in zip(self._shards, parts):
-            if idx.size:
-                results[idx] = shard.bulk_search(queries[idx])
+        self._run_parts(self._partition(queries), "bulk_search", (queries,), results)
         return results
 
     def bulk_delete(self, keys: Sequence[int]) -> np.ndarray:
@@ -433,20 +481,7 @@ class ShardedSlabHash:
         self._require_key_partitioning("bulk_delete")
         keys = np.asarray(keys, dtype=np.uint64)
         removed = np.zeros(len(keys), dtype=np.int64)
-        parts = self._partition(keys)
-        if self._executor is not None:
-            self._stale = True
-            calls, scatter = [], []
-            for shard, idx in enumerate(parts):
-                if idx.size:
-                    calls.append((shard, "bulk_delete", (keys[idx],)))
-                    scatter.append(idx)
-            for idx, counts in zip(scatter, self._executor.run_calls(calls)):
-                removed[idx] = counts
-            return removed
-        for shard, idx in zip(self._shards, parts):
-            if idx.size:
-                removed[idx] = shard.bulk_delete(keys[idx])
+        self._run_parts(self._partition(keys), "bulk_delete", (keys,), removed)
         return removed
 
     # ------------------------------------------------------------------ #
@@ -481,41 +516,18 @@ class ShardedSlabHash:
             raise ValueError("op_codes and keys must have the same length")
         values = None if values is None else np.asarray(values, dtype=np.int64)
         results = np.zeros(len(keys), dtype=np.uint32)
-        parts = self._partition(keys)
-        if self._executor is not None:
-            self._stale = True
-            batches, scatter = [], []
-            for number, idx in enumerate(parts):
-                if not idx.size:
-                    continue
-                seed = None if scheduler_seed is None else scheduler_seed + number
-                batches.append(
-                    (
-                        number,
-                        op_codes[idx],
-                        keys[idx],
-                        None if values is None else values[idx],
-                        seed,
-                        wave_size,
-                    )
-                )
-                scatter.append(idx)
-            for idx, sub in zip(scatter, self._executor.run_concurrent(batches)):
-                results[idx] = sub
-            return results
-        for number, (shard, idx) in enumerate(zip(self._shards, parts)):
-            if not idx.size:
-                continue
-            scheduler = None
-            if scheduler_seed is not None:
-                scheduler = WarpScheduler(seed=scheduler_seed + number)
-            results[idx] = shard.concurrent_batch(
-                op_codes[idx],
-                keys[idx],
-                None if values is None else values[idx],
-                scheduler=scheduler,
-                wave_size=wave_size,
-            )
+        self._run_parts(
+            self._partition(keys),
+            "concurrent_batch",
+            (op_codes, keys, values),
+            results,
+            lambda shard: {
+                "scheduler": _scheduler(
+                    None if scheduler_seed is None else scheduler_seed + shard
+                ),
+                "wave_size": wave_size,
+            },
+        )
         return results
 
     def execute_shard_batch(
@@ -537,69 +549,52 @@ class ShardedSlabHash:
         scheduler is built from ``scheduler_seed`` locally on whichever side
         executes (schedulers are deterministic functions of their seed).
         """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.run_concurrent(
-                [(shard, op_codes, keys, values, scheduler_seed, wave_size)]
-            )[0]
-        scheduler = None if scheduler_seed is None else WarpScheduler(seed=scheduler_seed)
-        return self._shards[shard].concurrent_batch(
-            op_codes, keys, values, scheduler=scheduler, wave_size=wave_size
+        return cast(
+            np.ndarray,
+            self._call(
+                shard,
+                "concurrent_batch",
+                op_codes,
+                keys,
+                values,
+                scheduler=_scheduler(scheduler_seed),
+                wave_size=wave_size,
+            ),
         )
 
     # ------------------------------------------------------------------ #
     # Single-operation convenience API
     # ------------------------------------------------------------------ #
 
-    def insert(self, key: int, value: Optional[int] = None) -> None:
+    def _call_owner(self, method: str, key: int, *args: object) -> object:
+        """Route one single-key operation to the shard that owns ``key``."""
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
-        if self._executor is not None:
-            self._stale = True
-            self._executor.call(shard, "insert", key, value)
-            return
-        self._shards[shard].insert(key, value)
+        return self._call(shard, method, key, *args)
+
+    def insert(self, key: int, value: Optional[int] = None) -> None:
+        self._call_owner("insert", key, value)
 
     def search(self, key: int) -> Optional[int]:
         self._require_key_partitioning("search")
-        shard = self.router.shard_of(key)
-        self._ops_routed[shard] += 1
-        if self._executor is not None:
-            return self._executor.call(shard, "search", key)
-        return self._shards[shard].search(key)
+        return cast(Optional[int], self._call_owner("search", key))
 
     def __contains__(self, key: int) -> bool:
         return self.search(key) is not None
 
     def delete(self, key: int) -> bool:
         self._require_key_partitioning("delete")
-        shard = self.router.shard_of(key)
-        self._ops_routed[shard] += 1
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "delete", key)
-        return self._shards[shard].delete(key)
+        return cast(bool, self._call_owner("delete", key))
 
     def search_all(self, key: int) -> List[int]:
         """Every value stored under ``key`` (duplicates mode; cf. SlabHash)."""
         self._require_key_partitioning("search_all")
-        shard = self.router.shard_of(key)
-        self._ops_routed[shard] += 1
-        if self._executor is not None:
-            return self._executor.call(shard, "search_all", key)
-        return self._shards[shard].search_all(key)
+        return cast(List[int], self._call_owner("search_all", key))
 
     def delete_all(self, key: int) -> int:
         """Delete every occurrence of ``key``; returns the number removed."""
         self._require_key_partitioning("delete_all")
-        shard = self.router.shard_of(key)
-        self._ops_routed[shard] += 1
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "delete_all", key)
-        return self._shards[shard].delete_all(key)
+        return cast(int, self._call_owner("delete_all", key))
 
     # ------------------------------------------------------------------ #
     # Online resizing and rebalancing
@@ -629,38 +624,28 @@ class ShardedSlabHash:
         buckets at a time.  Shards migrate independently — beginning a
         migration on one shard never blocks the others.
         """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            if incremental:
-                return self._executor.call(
-                    shard, "begin_resize", num_buckets,
-                    trigger=trigger, step_buckets=step_buckets,
-                )
-            return self._executor.call(shard, "resize", num_buckets, trigger=trigger)
         if incremental:
-            return self._shards[shard].begin_resize(
-                num_buckets, trigger=trigger, step_buckets=step_buckets
+            performed = self._call(
+                shard, "begin_resize", num_buckets,
+                trigger=trigger, step_buckets=step_buckets,
             )
-        return self._shards[shard].resize(num_buckets, trigger=trigger)
+        else:
+            performed = self._call(shard, "resize", num_buckets, trigger=trigger)
+        return cast(Optional[ResizeResult], performed)
 
     def migrate_step_shard(
         self, shard: int, max_buckets: Optional[int] = None
     ) -> MigrationStepResult:
         """Advance one shard's in-flight migration by at most ``max_buckets``."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "migrate_step", max_buckets)
-        return self._shards[shard].migrate_step(max_buckets)
+        return cast(MigrationStepResult, self._call(shard, "migrate_step", max_buckets))
 
     def migrating_shards(self) -> List[int]:
         """Indices of shards with a migration currently in flight."""
-        if self._executor is not None and self._stale:
-            return [i for i, q in enumerate(self._queries()) if q["migrating"]]
-        return [i for i, shard in enumerate(self._shards) if shard.migration is not None]
+        return [
+            shard
+            for shard, summary in enumerate(self._summaries("migrating"))
+            if summary["migrating"]
+        ]
 
     def maybe_resize(self) -> List[ResizeResult]:
         """Pump each shard's migration / load-factor policy (see SlabHash).
@@ -669,17 +654,9 @@ class ShardedSlabHash:
         a bounded number of steps while its neighbours follow their own
         policies, so one shard's long migration never delays another's.
         """
-        if self._executor is not None:
-            self._stale = True
-            results: List[ResizeResult] = []
-            for performed in self._executor.run_calls(
-                [(shard, "maybe_resize", ()) for shard in range(self.num_shards)]
-            ):
-                results.extend(performed)
-            return results
-        results = []
-        for shard in self._shards:
-            results.extend(shard.maybe_resize())
+        results: List[ResizeResult] = []
+        for performed in self._call_every_shard("maybe_resize"):
+            results.extend(cast(List[ResizeResult], performed))
         return results
 
     def maybe_resize_shard(self, shard: int) -> List[ResizeResult]:
@@ -689,12 +666,7 @@ class ShardedSlabHash:
         between a shard's batches so one lane's maintenance never touches —
         or, in process mode, never round-trips through — the other shards.
         """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "maybe_resize")
-        return self._shards[shard].maybe_resize()
+        return cast(List[ResizeResult], self._call(shard, "maybe_resize"))
 
     def rebalance(
         self,
@@ -873,44 +845,28 @@ class ShardedSlabHash:
 
     def flush(self) -> None:
         """Compact every bucket of every shard and release empty slabs."""
-        if self._executor is not None:
-            self._stale = True
-            self._executor.run_calls(
-                [(shard, "flush", ()) for shard in range(self.num_shards)]
-            )
-            return
-        for shard in self._shards:
-            shard.flush()
+        self._call_every_shard("flush")
 
     def __len__(self) -> int:
-        if self._executor is not None and self._stale:
-            return sum(q["len"] for q in self._queries())
-        return sum(len(shard) for shard in self._shards)
+        return sum(summary["len"] for summary in self._summaries("len"))
 
     def shard_sizes(self) -> np.ndarray:
         """Stored element count per shard (load-balance diagnostics)."""
-        if self._executor is not None and self._stale:
-            return np.array([q["len"] for q in self._queries()], dtype=np.int64)
-        return np.array([len(shard) for shard in self._shards], dtype=np.int64)
+        return np.array(
+            [summary["len"] for summary in self._summaries("len")], dtype=np.int64
+        )
 
     def used_bytes(self) -> int:
-        if self._executor is not None and self._stale:
-            return sum(q["used_bytes"] for q in self._queries())
-        return sum(shard.used_bytes() for shard in self._shards)
+        return sum(summary["used_bytes"] for summary in self._summaries("used_bytes"))
 
     def memory_utilization(self) -> float:
         """Stored data bytes over total slab bytes, across all shards."""
-        if self._executor is not None and self._stale:
-            queries = self._queries()
-            stored = sum(
-                q["len"] * shard.config.element_bytes
-                for q, shard in zip(queries, self._shards)
-            )
-            return stored / sum(q["used_bytes"] for q in queries)
+        summaries = self._summaries("len", "used_bytes")
         stored = sum(
-            len(shard) * shard.config.element_bytes for shard in self._shards
+            summary["len"] * shard.config.element_bytes
+            for summary, shard in zip(summaries, self._shards)
         )
-        return stored / self.used_bytes()
+        return stored / sum(summary["used_bytes"] for summary in summaries)
 
     def items(self) -> List[Tuple[int, Optional[int]]]:
         """All stored (key, value) pairs, shard by shard."""
@@ -920,9 +876,8 @@ class ShardedSlabHash:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "process" if self._executor is not None else "serial"
         return (
             f"ShardedSlabHash(shards={self.num_shards}, "
             f"policy={self.router.policy!r}, buckets={self.num_buckets}, "
-            f"elements={len(self)}, executor={mode!r})"
+            f"elements={len(self)}, executor={self._executor!r})"
         )

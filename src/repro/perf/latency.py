@@ -5,8 +5,8 @@ throughput: operations wait in a micro-batch so the engine can run them as
 one warp-aligned concurrent batch.  This module provides the measurement
 side of that trade-off — a lightweight recorder for per-operation latency
 samples and a frozen percentile report — so the service (and the
-``benchmarks/bench_service_latency.py`` benchmark) can quote p50/p90/p99
-next to throughput, the way a serving system would.
+``benchmarks/bench_service_saturation.py`` latency point) can quote
+p50/p90/p99 next to throughput, the way a serving system would.
 
 Latencies here are *host wall-clock* seconds (enqueue to completion), which
 is what a client of the simulation-backed service actually waits; the

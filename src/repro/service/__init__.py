@@ -39,9 +39,9 @@ chaos testing.
 
 ``benchmarks/bench_service_saturation.py`` sweeps offered concurrency
 through this layer to the throughput knee and records the service document
-at the repo root (``benchmarks/bench_service_latency.py`` keeps the
-Figure-7-style fixed-load latency run; ``benchmarks/bench_degraded.py``
-measures the degraded modes); ``docs/TUTORIAL.md`` walks through using it.
+at the repo root, with a fixed-load latency point beside the sweep
+(``benchmarks/bench_degraded.py`` measures the degraded modes);
+``docs/TUTORIAL.md`` walks through using it.
 """
 
 from repro.service.batcher import CutBatch, MicroBatcher, OpChunk, OpSlice

@@ -497,20 +497,16 @@ class SlabHashService:
         self.wal = wal
         self.faults = faults
         self._sharded = isinstance(engine, ShardedSlabHash)
-        if self.config.executor not in (None, "serial", "process"):
+        if self._sharded:
+            # attach_executor validates the name; an engine that already
+            # carries a process executor is used as-is.
+            if self.config.executor != "process" or engine.process_executor is None:
+                engine.attach_executor(self.config.executor, self.config.executor_workers)
+        elif self.config.executor not in (None, "serial"):
             raise ValueError(
-                f"unknown executor {self.config.executor!r}; "
-                "expected None, 'serial', or 'process'"
+                f"ServiceConfig(executor={self.config.executor!r}) needs a "
+                "ShardedSlabHash engine; a single table has no shards to parallelize"
             )
-        if self.config.executor == "process":
-            if not self._sharded:
-                raise ValueError(
-                    "ServiceConfig(executor='process') needs a ShardedSlabHash "
-                    "engine; a single table has no shards to parallelize"
-                )
-            if engine.process_executor is None:
-                engine.attach_executor("process", self.config.executor_workers)
-        self._process_mode = self._sharded and engine.process_executor is not None
         self._shards: List[SlabHash] = list(engine.shards) if self._sharded else [engine]
         table_config = self._shards[0].config
         self._key_value = table_config.key_value
@@ -553,7 +549,7 @@ class SlabHashService:
                 table.alloc.faults = faults.scoped(f"shard:{index}.")
             if wal is not None and wal.faults is None:
                 wal.faults = faults
-            if self._process_mode:
+            if self._sharded and self.engine.process_executor is not None:
                 # Arm the shard:<i>.worker dispatch sites.  Worker-internal
                 # sites (alloc, migration.step) cannot fire in process mode —
                 # the resident shards do not carry the plan; see docs/API.md.
@@ -934,16 +930,12 @@ class SlabHashService:
 
         Mirrors recovery replay exactly: ShardedSlabHash.concurrent_batch
         seeds shard ``s`` with (seed + batch_index) + s; a single table is
-        seeded with seed + batch_index.
+        lane 0, so it is seeded with seed + batch_index.
         """
         seed = self.config.scheduler_seed
         if seed is None:
             return None
-        return seed + batch_index + (shard if self._sharded else 0)
-
-    def _scheduler_for(self, shard: int, batch_index: int) -> Optional[WarpScheduler]:
-        seed = self._seed_for(shard, batch_index)
-        return None if seed is None else WarpScheduler(seed=seed)
+        return seed + batch_index + shard
 
     def _execute(self, entry: _StagedBatch) -> None:
         batch = entry.batch
@@ -960,18 +952,21 @@ class SlabHashService:
                 self._reject_batch(entry, exc, dirty=False)
                 return
 
+        seed = self._seed_for(entry.shard, entry.batch_index)
+
         def run() -> None:
-            if self._process_mode:
-                # Dispatch to the shard's worker process.  The reply mirrors
-                # the worker's device counters onto ``table.device``, so the
-                # surrounding measure_phase sees serial-identical deltas; a
-                # dead worker raises WorkerCrashed (injected + dirty below).
+            if self._sharded:
+                # Inline in serial mode; in process mode the shard's worker
+                # runs it and its reply mirrors the worker's device counters
+                # onto ``table.device``, so the surrounding measure_phase
+                # sees serial-identical deltas.  A dead worker raises
+                # WorkerCrashed (injected + dirty below).
                 holder["results"] = self.engine.execute_shard_batch(
                     entry.shard,
                     batch.op_codes,
                     batch.keys,
                     batch.values,
-                    scheduler_seed=self._seed_for(entry.shard, entry.batch_index),
+                    scheduler_seed=seed,
                     wave_size=self.config.wave_size,
                 )
                 return
@@ -979,7 +974,7 @@ class SlabHashService:
                 batch.op_codes,
                 batch.keys,
                 batch.values,
-                scheduler=self._scheduler_for(entry.shard, entry.batch_index),
+                scheduler=None if seed is None else WarpScheduler(seed=seed),
                 wave_size=self.config.wave_size,
             )
 
@@ -1345,7 +1340,7 @@ class SlabHashService:
         wall = 0.0
         if self._first_enqueue is not None and self._last_completion is not None:
             wall = max(0.0, self._last_completion - self._first_enqueue)
-        if self._process_mode:
+        if self._sharded and self.engine.process_executor is not None:
             # Barrier: refresh the parent mirror so the migration sums below
             # read worker-side resize_stats, not a stale pre-dispatch copy.
             _ = self.engine.shards

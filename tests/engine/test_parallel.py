@@ -29,13 +29,16 @@ from tests.conftest import make_keys
 ALLOC = SlabAllocConfig(num_super_blocks=4, num_memory_blocks=16, units_per_block=64)
 
 
-def make_pair(num_shards=2, buckets=48, *, workers=None, policy=None, seed=29):
+def make_pair(
+    num_shards=2, buckets=48, *, workers=None, policy=None, seed=29, **table_kwargs
+):
     """A serial engine and a process-mode engine with identical construction."""
     kwargs = dict(
         seed=seed,
         backend="vectorized",
         alloc_config=ALLOC,
         load_factor_policy=policy,
+        **table_kwargs,
     )
     serial = ShardedSlabHash(num_shards, buckets, **kwargs)
     proc = ShardedSlabHash(
@@ -193,6 +196,143 @@ class TestProcessEquivalence:
             assert all(seconds > 0 for seconds in cpu)
             proc.process_executor.reset_worker_cpu()
             assert proc.process_executor.worker_cpu_seconds() == [0.0, 0.0]
+        finally:
+            proc.close()
+
+
+def _mixed_stream(seed):
+    """Inserts of fresh keys interleaved with searches and deletes of them."""
+    keys = make_keys(160, seed=seed)
+    tail = np.array([C.OP_SEARCH, C.OP_DELETE])[np.arange(80) % 2]
+    op_codes = np.concatenate([np.full(160, C.OP_INSERT), tail])
+    stream = np.concatenate([keys, keys[:80]])
+    return op_codes, stream, stream & np.uint32(0xFFFF)
+
+
+def _summary(eng):
+    """Every summary read; in process mode these query the workers when stale."""
+    return [
+        len(eng),
+        eng.num_buckets,
+        eng.migrating_shards(),
+        eng.shard_sizes().tolist(),
+        eng.used_bytes(),
+    ]
+
+
+def _execute_shard_batches(scheduler_seed):
+    def program(eng):
+        eng.bulk_insert(make_keys(200, seed=43), make_keys(200, seed=43))
+        op_codes, stream, values = _mixed_stream(44)
+        out = []
+        for shard, idx in enumerate(eng.admit_partition(stream)):
+            seed = None if scheduler_seed is None else scheduler_seed + shard
+            out.append(
+                eng.execute_shard_batch(
+                    shard, op_codes[idx], stream[idx], values[idx],
+                    scheduler_seed=seed, wave_size=16,
+                )
+            )
+        return out
+
+    return program
+
+
+def _concurrent_phased(eng):
+    op_codes, stream, values = _mixed_stream(45)
+    return [eng.concurrent_batch(op_codes, stream, values, scheduler_seed=None)]
+
+
+def _stop_the_world_resize(eng):
+    keys = make_keys(300, seed=46)
+    eng.bulk_insert(keys, keys)
+    return [eng.resize_shard(0, 96), eng.resize_shard(1, 24), _summary(eng)]
+
+
+def _maybe_resize_shard(eng):
+    keys = make_keys(400, seed=47)
+    eng.bulk_insert(keys, keys)
+    return [eng.maybe_resize_shard(1), eng.maybe_resize_shard(0), _summary(eng)]
+
+
+def _flush(eng):
+    keys = make_keys(400, seed=48)
+    eng.bulk_insert(keys, keys)
+    eng.bulk_delete(keys[::2])
+    eng.items()  # syncs a process engine's mirror: flush must mark it stale
+    eng.flush()
+    return [_summary(eng)]
+
+
+def _multi_value_key_only(eng):
+    keys = make_keys(60, seed=49)
+    eng.bulk_insert(np.concatenate([keys, keys, keys[:20]]))
+    out = [eng.search_all(int(key)) for key in keys[:30]]
+    out += [eng.delete_all(int(key)) for key in keys[10:40]]
+    out += [eng.search_all(int(key)) for key in keys[:50]]
+    return out + [_summary(eng)]
+
+
+def _stale_summaries(eng):
+    # Each items() syncs a process engine's mirror, so the mutation after
+    # it must mark the mirror stale for the summaries to stay correct.
+    keys = make_keys(400, seed=50)
+    eng.bulk_insert(keys, keys)
+    out = [_summary(eng)]
+    eng.items()
+    eng.resize_shard(1, 96, incremental=True, step_buckets=4)
+    out.append(_summary(eng))
+    eng.items()
+    out.append(eng.migrate_step_shard(1))
+    out.append(_summary(eng))
+    eng.items()
+    eng.bulk_delete(keys[:100])
+    return out + [_summary(eng)]
+
+
+#: (case id, make_pair keyword arguments, program run on both engines).
+DISPATCH_CASES = [
+    ("execute_shard_batch-seeded", {}, _execute_shard_batches(5)),
+    ("execute_shard_batch-phased", {}, _execute_shard_batches(None)),
+    ("concurrent_batch-phased", {}, _concurrent_phased),
+    ("resize_shard-stop-the-world", {}, _stop_the_world_resize),
+    (
+        "maybe_resize_shard",
+        {"buckets": 8, "policy": LoadFactorPolicy(min_buckets=2).deferred()},
+        _maybe_resize_shard,
+    ),
+    ("flush", {}, _flush),
+    (
+        "search_all-delete_all-key-only-multi-value",
+        {"key_value": False, "unique_keys": False},
+        _multi_value_key_only,
+    ),
+    ("summaries-while-stale", {}, _stale_summaries),
+]
+
+
+def _plain(value):
+    """Results as comparable plain Python (arrays become lists)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+class TestDispatchEquivalence:
+    """Each engine method, run serially and in workers, agrees bit for bit."""
+
+    @pytest.mark.parametrize(
+        "pair_kwargs,program",
+        [case[1:] for case in DISPATCH_CASES],
+        ids=[case[0] for case in DISPATCH_CASES],
+    )
+    def test_serial_and_process_engines_agree(self, pair_kwargs, program):
+        serial, proc = make_pair(**pair_kwargs)
+        try:
+            assert _plain(program(serial)) == _plain(program(proc))
+            assert_identical(serial, proc)
         finally:
             proc.close()
 

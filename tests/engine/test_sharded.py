@@ -132,6 +132,32 @@ class TestConcurrentEquivalence:
         assert np.array_equal(out_sharded, out_single)
         assert len(engine) == len(single)
 
+    def test_scheduled_batch_seeds_shard_s_with_seed_plus_s(self):
+        """The schedule contract that live service execution and WAL replay share.
+
+        The service runs shard ``s``'s slice with ``execute_shard_batch(s,
+        ..., scheduler_seed=seed + s)``; recovery replays the whole batch
+        with ``concurrent_batch(..., scheduler_seed=seed)``.  Both must draw
+        the same schedules, so racing inserts and searches of the same keys
+        resolve alike and the device counters agree.
+        """
+        keys = make_keys(160, seed=51)
+        stream = np.concatenate([keys, keys])
+        ops = np.concatenate([np.full(160, C.OP_INSERT), np.full(160, C.OP_SEARCH)])
+        order = np.random.default_rng(52).permutation(stream.size)
+        ops, stream = ops[order], stream[order]
+        whole, split = make_engine(3, buckets=16, seed=5), make_engine(3, buckets=16, seed=5)
+        out_whole = whole.concurrent_batch(ops, stream, stream, scheduler_seed=11, wave_size=4)
+        out_split = np.zeros_like(out_whole)
+        for shard, idx in enumerate(split.admit_partition(stream)):
+            out_split[idx] = split.execute_shard_batch(
+                shard, ops[idx], stream[idx], stream[idx],
+                scheduler_seed=11 + shard, wave_size=4,
+            )
+        assert np.array_equal(out_whole, out_split)
+        for a, b in zip(whole.devices, split.devices):
+            assert a.counters.as_dict() == b.counters.as_dict()
+
 
 class TestRoundRobinPolicy:
     def test_build_only_loads_are_allowed_and_balanced(self):

@@ -1,11 +1,10 @@
 """Schema guards for the service benchmark documents.
 
-The repo-root ``BENCH_service.json`` is owned by the schema-v3 saturation
-sweep (``benchmarks/bench_service_saturation.py``); the fixed-load run
-(``benchmarks/bench_service_latency.py``) writes the schema-v2
-``BENCH_service_latency.json``.  Each benchmark's ``validate_document`` is
+The repo-root ``BENCH_service.json`` is owned by the schema-v4 saturation
+sweep (``benchmarks/bench_service_saturation.py``), whose latency point
+also records the fixed-load run.  The benchmark's ``validate_document`` is
 the single source of truth for its layout; these tests run tiny instances
-end to end so drift in either JSON layout fails CI before a malformed
+end to end so drift in the JSON layout fails CI before a malformed
 document lands at the repo root.  The committed saturation document is also
 held to the service-rebuild acceptance floors, so a regression cannot be
 silently re-recorded.
@@ -23,7 +22,6 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__f
 sys.path.insert(0, os.path.join(_REPO_ROOT, "benchmarks"))
 
 import bench_degraded  # noqa: E402  (needs the path insertion above)
-import bench_service_latency  # noqa: E402
 import bench_service_saturation  # noqa: E402
 
 
@@ -149,46 +147,3 @@ class TestSaturationSchema:
         with pytest.raises(ValueError, match="strictly increasing"):
             bench_service_saturation.validate_document(unsorted)
 
-
-class TestLatencySchema:
-    @pytest.mark.smoke
-    def test_tiny_benchmark_roundtrip_matches_schema(self, tmp_path):
-        out = tmp_path / "BENCH_service_latency.json"
-        assert bench_service_latency.main(
-            ["--num-ops", "512", "--initial", "512", "--num-shards", "2",
-             "--max-batch", "128", "--burst", "64", "--out", str(out)]
-        ) == 0
-        with open(out, encoding="utf-8") as handle:
-            document = json.load(handle)
-        bench_service_latency.validate_document(document)  # raises on drift
-        assert document["schema_version"] == 2
-        assert document["latency"]["count"] == 512
-        assert document["batches"]["executed"] >= 512 // 128
-        # Schema v2: the trigger view exists alongside the size view.
-        assert 0.0 <= document["batches"]["deadline_forced_fraction"] <= 1.0
-
-    @pytest.mark.smoke
-    def test_committed_latency_file_matches_schema(self):
-        path = os.path.join(_REPO_ROOT, "BENCH_service_latency.json")
-        if not os.path.exists(path):
-            pytest.skip("no BENCH_service_latency.json at the repo root yet")
-        with open(path, encoding="utf-8") as handle:
-            bench_service_latency.validate_document(json.load(handle))
-
-    def test_validate_document_rejects_drift(self):
-        document = bench_service_latency.run_benchmark(
-            num_ops=256, initial_elements=256, num_shards=2, max_batch_size=64, burst=64
-        )
-        bench_service_latency.validate_document(document)
-        broken = dict(document)
-        broken.pop("latency")
-        with pytest.raises(ValueError, match="latency"):
-            bench_service_latency.validate_document(broken)
-        wrong_count = json.loads(json.dumps(document))
-        wrong_count["latency"]["count"] = 1
-        with pytest.raises(ValueError, match="num_ops"):
-            bench_service_latency.validate_document(wrong_count)
-        missing_fraction = json.loads(json.dumps(document))
-        missing_fraction["batches"].pop("deadline_forced_fraction")
-        with pytest.raises(ValueError, match="deadline_forced_fraction"):
-            bench_service_latency.validate_document(missing_fraction)

@@ -117,10 +117,11 @@ class TestProcessServiceEquivalence:
     def test_engine_with_attached_executor_is_used_as_is(self):
         async def main():
             engine = make_engine(executor="process", executor_workers=2)
+            attached = engine.process_executor
             try:
                 config = ServiceConfig(max_batch_size=64, max_delay=0.0005)
                 async with SlabHashService(engine, config=config) as service:
-                    assert service._process_mode
+                    assert service.engine.process_executor is attached
                     await service.insert(7, 70)
                     assert await service.search(7) == 70
             finally:
